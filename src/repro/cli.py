@@ -53,7 +53,7 @@ Commands
 ``tune``
     Build/extend a JSON tuning-wisdom file over a range of sizes.
 ``trace``
-    Export a chrome://tracing JSON of a simulated run.
+    Export a Perfetto trace JSON of a simulated run.
 ``report``
     Stitch the benchmark artifacts into one markdown report.
 """
@@ -711,7 +711,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Export a chrome://tracing JSON of a simulated run."""
+    """Export a Perfetto trace JSON of a simulated run."""
     N = _parse_size(args.n)
     spec = preset(args.system)
     r = find_fastest(N, spec, dtype=args.dtype)
@@ -719,12 +719,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
                              build_operators=False, **r.params)
     cl = VirtualCluster(spec, execute=False)
     FmmFftDistributed(plan, cl).run()
-    if args.rich:
-        cl.trace().save_perfetto(args.out)
-    else:
-        cl.trace().save_chrome_trace(args.out)
-    print(f"wrote {len(cl.ledger)} events to {args.out} "
-          f"(load in chrome://tracing or Perfetto)")
+    cl.trace().save_perfetto(args.out)
+    print(f"wrote a trace of {len(cl.ledger)} ops to {args.out} "
+          f"(load in https://ui.perfetto.dev or chrome://tracing)")
     return 0
 
 
@@ -1000,15 +997,12 @@ def build_parser() -> argparse.ArgumentParser:
     tu.add_argument("--wisdom", default="wisdom.json")
     tu.set_defaults(fn=cmd_tune)
 
-    tc = sub.add_parser("trace", help="export a chrome://tracing JSON")
+    tc = sub.add_parser("trace", help="export a Perfetto trace JSON")
     tc.add_argument("--n", default="2^24")
     tc.add_argument("--system", default="2xP100", choices=sorted(_PRESETS))
     tc.add_argument("--dtype", default="complex128",
                     choices=["complex64", "complex128"])
     tc.add_argument("--out", default="trace.json")
-    tc.add_argument("--rich", action="store_true",
-                    help="use the repro.obs exporter (named tracks, flow "
-                         "arrows, counters) instead of the flat one")
     tc.set_defaults(fn=cmd_trace)
 
     rp = sub.add_parser("report", help="aggregate benchmark artifacts")

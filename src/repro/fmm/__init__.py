@@ -14,8 +14,9 @@ contraction:
   and per-device box ownership.
 - :mod:`repro.fmm.interaction` — cousin interaction lists (even/odd) and
   the base-level all-non-neighbours list, plus an exact-cover checker.
-- :mod:`repro.fmm.batched` — single-device batched executor (all P-1
-  FMMs at once, one ``matmul`` per stage = one BatchedGEMM).
+- :mod:`repro.fmm.batched` — the stage kernels every executor shares,
+  and the single-device batched executor (all P-1 FMMs at once, one
+  ``matmul`` per stage = one BatchedGEMM).
 - :mod:`repro.fmm.distributed` — the same stages on a
   :class:`~repro.machine.cluster.VirtualCluster` with S/M halo exchanges
   and the base-level allgather (Algorithm 1).

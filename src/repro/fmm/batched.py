@@ -9,6 +9,10 @@ count: 1 S2M + 10 M2M + 1 S2T + (10 + 1) M2L + 1 reduce + 10 L2L +
 Tensor layout: batch-of-FMMs axes ordered ``(p, box, within-box)`` so
 every contraction is a broadcasted matrix product over a contiguous
 trailing pair.
+
+The module-level ``*_kernel`` functions are the one implementation of
+the S2T, M2M, M2L and L2L numerics, shared by :class:`BatchedFMM`, the
+distributed executor and the nonuniform FMM's far field.
 """
 
 from __future__ import annotations
@@ -18,6 +22,77 @@ import numpy as np
 from repro.fmm.interaction import COUSINS_EVEN, COUSINS_ODD, base_offsets
 from repro.fmm.plan import FmmOperators
 from repro.util.validation import ParameterError
+
+# -- stage kernels ------------------------------------------------------------
+# Box arrays are (..., box, n).  A kernel that reads neighbour boxes takes
+# its input already extended along the box axis, so no kernel wraps an
+# index: the periodic and the halo-fed callers share every contraction.
+
+
+def periodic_extend(a: np.ndarray, width: int) -> np.ndarray:
+    """``a`` with ``width`` boxes wrapped cyclically onto each end of axis -2."""
+    return np.concatenate([a[..., -width:, :], a, a[..., :width, :]], axis=-2)
+
+
+def s2t_kernel(ext: np.ndarray, s2t: np.ndarray) -> np.ndarray:
+    """Near field from a width-1 extension ``(..., P-1, nb+2, ML)``.
+
+    ``T[pi, b, i] = sum_j' K[pi, i, j'] S_halo[pi, b, j']`` with the
+    halo triple [b-1, b, b+1] flattened into ``j'``.
+    """
+    nb = ext.shape[-2] - 2
+    Sh = np.concatenate(
+        [ext[..., 0:nb, :], ext[..., 1 : nb + 1, :], ext[..., 2 : nb + 2, :]], axis=-1
+    )  # (..., P-1, nb, 3 ML)
+    return Sh @ s2t.transpose(0, 2, 1)
+
+
+def m2m_kernel(child: np.ndarray, m2m: np.ndarray) -> np.ndarray:
+    """One upward level: siblings flattened, then one GEMM against M2M^T."""
+    nb2, Q = child.shape[-2:]
+    return child.reshape(*child.shape[:-2], nb2 // 2, 2 * Q) @ m2m.T
+
+
+def m2l_cousin_kernel(ext: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Cousin interactions (3 per box) from a width-2 extension ``(..., nb+4, Q)``.
+
+    ``K[..., parity, si, :, :]`` translates the source at offset
+    ``COUSINS_EVEN[si]`` (even targets) or ``COUSINS_ODD[si]`` (odd), so
+    the FMM-FFT's ``(P-1, 2, 3, Q, Q)`` stack and a single kernel's
+    ``(2, 3, Q, Q)`` operator go through the same code.
+    """
+    nb = ext.shape[-2] - 4
+    loc = np.zeros((*ext.shape[:-2], nb, ext.shape[-1]), dtype=ext.dtype)
+    b = np.arange(nb)
+    for parity, offsets in ((0, COUSINS_EVEN), (1, COUSINS_ODD)):
+        targets = b[parity::2]
+        for si, s in enumerate(offsets):
+            loc[..., targets, :] += np.matmul(
+                ext[..., targets + s + 2, :], K[..., parity, si, :, :].swapaxes(-1, -2)
+            )
+    return loc
+
+
+def m2l_base_kernel(ext: np.ndarray, K: np.ndarray, b0: int, b1: int) -> np.ndarray:
+    """Dense base-level interactions onto target boxes ``b0 .. b1-1``.
+
+    ``ext`` is the whole base level ``(..., 2^B, Q)`` extended by its own
+    length on each side (``periodic_extend(MB, 2^B)``); ``K[..., si, :, :]``
+    translates the source at offset ``base_offsets(B)[si]``.
+    """
+    nbB = ext.shape[-2] // 3
+    src = np.arange(b0, b1) + nbB
+    loc = np.zeros((*ext.shape[:-2], b1 - b0, ext.shape[-1]), dtype=ext.dtype)
+    for si, s in enumerate(base_offsets(nbB.bit_length() - 1)):
+        loc += np.matmul(ext[..., src + s, :], K[..., si, :, :].swapaxes(-1, -2))
+    return loc
+
+
+def l2l_kernel(parent: np.ndarray, m2m: np.ndarray) -> np.ndarray:
+    """One downward level: the parents' expansions at both children's
+    nodes (L2L = M2M^T); callers add the result into the children."""
+    nb, Q = parent.shape[-2:]
+    return (parent @ m2m).reshape(*parent.shape[:-2], 2 * nb, Q)
 
 
 class BatchedFMM:
@@ -50,48 +125,21 @@ class BatchedFMM:
         return S[..., 1:, :, :] @ self.ops.s2m.T
 
     def s2t(self, S: np.ndarray) -> np.ndarray:
-        """Near field: the interleaved, overlapped Toeplitz convolution.
-
-        ``T[pi, b, i] = sum_j' K[pi, i, j'] S_halo[pi, b, j']`` with the
-        halo triple [b-1, b, b+1] built cyclically.
-        """
-        Sp = S[..., 1:, :, :]
-        Sh = np.concatenate(
-            [np.roll(Sp, 1, axis=-2), Sp, np.roll(Sp, -1, axis=-2)], axis=-1
-        )  # (..., P-1, nb, 3 ML)
-        return Sh @ self.ops.s2t.transpose(0, 2, 1)
+        """Near field: the interleaved, overlapped Toeplitz convolution."""
+        return s2t_kernel(periodic_extend(S[..., 1:, :, :], 1), self.ops.s2t)
 
     def m2m(self, child: np.ndarray) -> np.ndarray:
         """One upward level: siblings flattened then one batched GEMM."""
-        nb2, Q = child.shape[-2:]
-        flat = child.reshape(*child.shape[:-2], nb2 // 2, 2 * Q)
-        return flat @ self.ops.m2m.T
+        return m2m_kernel(child, self.ops.m2m)
 
     def m2l_level(self, level: int, Mexp: np.ndarray) -> np.ndarray:
         """Cousin interactions at a hierarchical level (3 per box)."""
-        K = self.ops.m2l_level[level]  # (P-1, 2, 3, Q, Q)
-        nb = Mexp.shape[-2]
-        loc = np.zeros_like(Mexp)
-        b = np.arange(nb)
-        for parity, offsets in ((0, COUSINS_EVEN), (1, COUSINS_ODD)):
-            targets = b[parity::2]
-            for si, s in enumerate(offsets):
-                src = (targets + s) % nb
-                loc[..., targets, :] += np.matmul(
-                    Mexp[..., src, :], K[:, parity, si].transpose(0, 2, 1)
-                )
-        return loc
+        return m2l_cousin_kernel(periodic_extend(Mexp, 2), self.ops.m2l_level[level])
 
     def m2l_base(self, MexpB: np.ndarray) -> np.ndarray:
         """Dense base-level interactions: every non-neighbour box."""
-        K = self.ops.m2l_base  # (P-1, nS, Q, Q)
         nb = MexpB.shape[-2]
-        loc = np.zeros_like(MexpB)
-        b = np.arange(nb)
-        for si, s in enumerate(base_offsets(self.ops.B)):
-            src = (b + s) % nb
-            loc += np.matmul(MexpB[..., src, :], K[:, si].transpose(0, 2, 1))
-        return loc
+        return m2l_base_kernel(periodic_extend(MexpB, nb), self.ops.m2l_base, 0, nb)
 
     def reduce(self, MexpB: np.ndarray) -> np.ndarray:
         """``r[pi] = sum_{q,b} M^B[pi, q, b]`` — valid because S2M/M2M
@@ -100,9 +148,7 @@ class BatchedFMM:
 
     def l2l(self, parent: np.ndarray) -> np.ndarray:
         """One downward level: evaluate parents at both children's nodes."""
-        nb, Q = parent.shape[-2:]
-        pair = parent @ self.ops.m2m  # (..., nb, 2Q)
-        return pair.reshape(*parent.shape[:-2], 2 * nb, Q)
+        return l2l_kernel(parent, self.ops.m2m)
 
     def l2t(self, locL: np.ndarray) -> np.ndarray:
         """Evaluate leaf local expansions at the targets."""
@@ -144,7 +190,7 @@ class BatchedFMM:
         T[..., 1:, :, :] = self.s2t(Sb)
 
         loc = {ell: self.m2l_level(ell, Mexp[ell]) for ell in o.tree.levels_m2l()}
-        loc[o.B] = self.m2l_base(Mexp[o.B]) + loc.get(o.B, 0.0)
+        loc[o.B] = self.m2l_base(Mexp[o.B])
         r = self.reduce(Mexp[o.B])
 
         for ell in o.tree.levels_l2l():

@@ -16,6 +16,10 @@ M2M and L2L never communicate: children of owned parents are owned.
 Every compute stage is one launch per device per level, with flop/byte
 costs derived from the actual tensor shapes — the ledger sums are
 cross-checked against the Section 5 closed forms in the test suite.
+
+The stage numerics are the shared kernels of :mod:`repro.fmm.batched`:
+each ``_do_*`` extends a device's boxes with the halos it received and
+calls them, so a device computes exactly what ``BatchedFMM`` would.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import comm
-from repro.fmm.interaction import COUSINS_EVEN, COUSINS_ODD, base_offsets
+from repro.fmm import batched
 from repro.fmm.plan import FmmGeometry, FmmOperators
 from repro.machine.cluster import VirtualCluster
 from repro.machine.stream import Event
@@ -100,6 +104,11 @@ class DistributedFMM:
         self.C = c_factor(self.dtype)
         self.rsize = np.dtype(real_dtype_for(self.dtype)).itemsize
         self.csize = self.C * self.rsize  # bytes per input element
+        # execute-mode numerics state, per device; S2M opens each pass
+        self._Mexp: list[dict] = []
+        self._Loc: list[dict] = []
+        self._halo: dict[str, dict] = {}
+        self._MB = self._r = None
 
     def _buf(self, suffix: str) -> str:
         """Namespaced device buffer name."""
@@ -397,22 +406,19 @@ class DistributedFMM:
     def _stash_halo(self, what: str, key: str | None, width: int, level: int | None) -> None:
         """Record the halo data every device will need (execute mode)."""
         cl, G = self.cl, self.cl.G
-        halos = {}
-        for g in range(G):
-            if key is not None:
-                a = np.asarray(cl.dev(g)[key])
-            else:
-                a = self._Mexp[g][level]
-            left_src = np.asarray(
-                cl.dev((g - 1) % G)[key] if key is not None else self._Mexp[(g - 1) % G][level]
-            )
-            right_src = np.asarray(
-                cl.dev((g + 1) % G)[key] if key is not None else self._Mexp[(g + 1) % G][level]
-            )
-            halos[g] = (left_src[:, -width:, :], right_src[:, :width, :])
-        if not hasattr(self, "_halo"):
-            self._halo = {}
-        self._halo[what] = halos
+
+        def boxes(g: int) -> np.ndarray:
+            return np.asarray(cl.dev(g)[key]) if key is not None else self._Mexp[g][level]
+
+        self._halo[what] = {
+            g: (boxes((g - 1) % G)[:, -width:, :], boxes((g + 1) % G)[:, :width, :])
+            for g in range(G)
+        }
+
+    def _extend(self, what: str, g: int, a: np.ndarray) -> np.ndarray:
+        """Device g's boxes ``a`` between the halos it received for ``what``."""
+        lh, rh = self._halo[what][g]
+        return np.concatenate([lh, a, rh], axis=-2)
 
     # -- real-data stage implementations ---------------------------------------
     # Each _do_* runs once (attached to device 0's launch) and updates the
@@ -421,10 +427,8 @@ class DistributedFMM:
 
     def _do_s2m(self, key_in: str) -> None:
         cl, o = self.cl, self.ops
+        # S2M opens a fresh pass (an IR replay re-runs this instance)
         self._Mexp = []
-        # S2M opens a fresh pass: clear the accumulators too, so a
-        # second run() on the same instance (an IR replay) cannot fold
-        # the previous pass's locals into _do_m2l_base's accumulation
         self._Loc = [dict() for _ in range(cl.G)]
         self._MB = None
         for g in range(cl.G):
@@ -435,80 +439,38 @@ class DistributedFMM:
         cl, o = self.cl, self.ops
         for g in range(cl.G):
             Sb = np.asarray(cl.dev(g)[key_in])
-            lh, rh = self._halo["S"][g]
-            ext = np.concatenate([lh[1:], Sb[1:], rh[1:]], axis=1)  # (P-1, nb+2, ML)
-            nb = Sb.shape[1]
-            Sh = np.concatenate(
-                [ext[:, 0:nb, :], ext[:, 1 : nb + 1, :], ext[:, 2 : nb + 2, :]], axis=2
-            )  # (P-1, nb, 3ML): [b-1 | b | b+1]
-            T = np.empty(
-                (o.P, nb, o.ML), dtype=np.result_type(Sb.dtype, o.real_dtype)
-            )
+            T = np.empty(Sb.shape, dtype=np.result_type(Sb.dtype, o.real_dtype))
             T[0] = Sb[0]
-            T[1:] = Sh @ o.s2t.transpose(0, 2, 1)
+            T[1:] = batched.s2t_kernel(self._extend("S", g, Sb)[1:], o.s2t)
             cl.dev(g)[key_out] = T
 
     def _do_m2m(self, ell: int) -> None:
-        o = self.ops
-        for g in range(self.cl.G):
-            child = self._Mexp[g][ell + 1]
-            Pm1, nb2, Q = child.shape
-            self._Mexp[g][ell] = child.reshape(Pm1, nb2 // 2, 2 * Q) @ o.m2m.T
+        for Mexp in self._Mexp:
+            Mexp[ell] = batched.m2m_kernel(Mexp[ell + 1], self.ops.m2m)
 
     def _do_m2l_level(self, ell: int) -> None:
-        cl, o = self.cl, self.ops
-        K = o.m2l_level[ell]
-        if not hasattr(self, "_Loc"):
-            self._Loc = [dict() for _ in range(cl.G)]
-        for g in range(cl.G):
-            Me = self._Mexp[g][ell]
-            lh, rh = self._halo[f"M{ell}"][g]
-            ext = np.concatenate([lh, Me, rh], axis=1)  # (P-1, nb_loc+4, Q)
-            nb = Me.shape[1]
-            loc = np.zeros_like(Me)
-            lb = np.arange(nb)
-            for parity, offsets in ((0, COUSINS_EVEN), (1, COUSINS_ODD)):
-                targets = lb[parity::2]
-                for si, s in enumerate(offsets):
-                    src = targets + s + 2  # index into ext (halo offset 2)
-                    loc[:, targets, :] += np.matmul(
-                        ext[:, src, :], K[:, parity, si].transpose(0, 2, 1)
-                    )
-            self._Loc[g][ell] = loc
+        K = self.ops.m2l_level[ell]
+        for g in range(self.cl.G):
+            ext = self._extend(f"M{ell}", g, self._Mexp[g][ell])
+            self._Loc[g][ell] = batched.m2l_cousin_kernel(ext, K)
 
     def _do_gather_base(self) -> None:
         cl, o = self.cl, self.ops
         self._MB = np.concatenate([self._Mexp[g][o.B] for g in range(cl.G)], axis=1)
 
     def _do_m2l_base(self) -> None:
-        cl, o = self.cl, self.ops
-        if not hasattr(self, "_Loc"):
-            self._Loc = [dict() for _ in range(cl.G)]
-        nbB = 1 << o.B
-        for g in range(cl.G):
+        o = self.ops
+        ext = batched.periodic_extend(self._MB, 1 << o.B)
+        for g in range(self.cl.G):
             b0, b1 = o.tree.box_range(o.B, g)
-            targets = np.arange(b0, b1)
-            loc = np.zeros_like(self._MB[:, b0:b1, :])
-            for si, s in enumerate(base_offsets(o.B)):
-                src = (targets + s) % nbB
-                loc += np.matmul(
-                    self._MB[:, src, :], o.m2l_base[:, si].transpose(0, 2, 1)
-                )
-            if o.B in self._Loc[g]:
-                self._Loc[g][o.B] = self._Loc[g][o.B] + loc
-            else:
-                self._Loc[g][o.B] = loc
+            self._Loc[g][o.B] = batched.m2l_base_kernel(ext, o.m2l_base, b0, b1)
 
     def _do_reduce(self) -> None:
         self._r = self._MB.sum(axis=(1, 2))
 
     def _do_l2l(self, ell: int) -> None:
-        o = self.ops
-        for g in range(self.cl.G):
-            parent = self._Loc[g][ell]
-            Pm1, nb, Q = parent.shape
-            pair = (parent @ o.m2m).reshape(Pm1, 2 * nb, Q)
-            self._Loc[g][ell + 1] = self._Loc[g][ell + 1] + pair
+        for loc in self._Loc:
+            loc[ell + 1] = loc[ell + 1] + batched.l2l_kernel(loc[ell], self.ops.m2m)
 
     def _do_fused_m2l_l2l(self, ell: int) -> None:
         """Fused kernel data path: M2L at level ell+1, then accumulate

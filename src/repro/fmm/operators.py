@@ -49,11 +49,6 @@ def s2m_matrix(Q: int, ML: int) -> np.ndarray:
     return lagrange_eval(Q, s)  # (Q, ML)
 
 
-def l2t_matrix(Q: int, ML: int) -> np.ndarray:
-    """L2T = S2M^T: evaluate the local expansion at the target points."""
-    return s2m_matrix(Q, ML).T
-
-
 def m2m_matrix(Q: int) -> np.ndarray:
     """M2M = [M2M- | M2M+], (Q, 2Q), translating two children to a parent.
 

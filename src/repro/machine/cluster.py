@@ -467,25 +467,6 @@ class VirtualCluster:
                 st.advance_to(t)
         return Event(t, "barrier")
 
-    # -- memory helpers ---------------------------------------------------
-
-    def scatter_blocks(self, key: str, array: np.ndarray) -> None:
-        """Block-partition a 1D array over devices into buffer ``key``.
-
-        Used to stage input: device g receives the contiguous slice
-        ``array[g*n/G : (g+1)*n/G]``.  Requires execute mode.
-        """
-        n = array.shape[0]
-        if n % self.G != 0:
-            raise ParameterError(f"array length {n} not divisible by G={self.G}")
-        blk = n // self.G
-        for g, dev in enumerate(self.devices):
-            dev[key] = array[g * blk : (g + 1) * blk].copy()
-
-    def gather_blocks(self, key: str) -> np.ndarray:
-        """Concatenate buffer ``key`` from all devices (inverse of scatter)."""
-        return np.concatenate([dev[key] for dev in self.devices])
-
     def __repr__(self) -> str:  # pragma: no cover
         mode = "execute" if self.execute else "timing-only"
         return f"VirtualCluster({self.spec.name}, G={self.G}, {mode})"

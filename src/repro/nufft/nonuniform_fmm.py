@@ -14,13 +14,16 @@ The hierarchical structure is identical to the FMM-FFT's uniform FMM
 (:mod:`repro.fmm`): a binary tree of ``2^L`` boxes, cousin interaction
 lists at levels L..B+1, a dense all-non-neighbours pass at the base
 level B >= 2, and the level-independent Chebyshev M2M/L2L translations.
-Only S2M, L2T, and the near field see the actual point positions.
+Only S2M, L2T, and the near field see the actual point positions; the
+far field (M2M, M2L, L2L) runs through the shared stage kernels of
+:mod:`repro.fmm.batched` on ``(k, box, Q)`` arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.fmm import batched
 from repro.fmm.chebyshev import cheb_points, lagrange_eval
 from repro.fmm.interaction import COUSINS_EVEN, COUSINS_ODD, base_offsets
 from repro.fmm.operators import m2m_matrix
@@ -166,52 +169,32 @@ class NonuniformPeriodicFMM:
         out = np.zeros((self.tgt.size, k), dtype=dtype)
 
         # ---- upward: S2M at the leaves, M2M to the base --------------------
-        Mexp = {self.L: np.zeros((self.nb, self.Q, k), dtype=dtype)}
+        L, B, nb = self.L, self.B, self.nb
+        Mexp = {L: np.zeros((k, nb, self.Q), dtype=dtype)}
         so, sb = self._src_order, self._src_bounds
-        for b in range(self.nb):
+        for b in range(nb):
             sl = so[sb[b] : sb[b + 1]]
             if sl.size:
-                Mexp[self.L][b] = self._s2m_blocks[b] @ w[sl]
-        for ell in range(self.L - 1, self.B - 1, -1):
-            child = Mexp[ell + 1]
-            nbl = 1 << ell
-            Mexp[ell] = np.einsum(
-                "qk,bkr->bqr",
-                self._m2m,
-                child.reshape(nbl, 2 * self.Q, k),
-            )
+                Mexp[L][:, b, :] = (self._s2m_blocks[b] @ w[sl]).T
+        for ell in range(L - 1, B - 1, -1):
+            Mexp[ell] = batched.m2m_kernel(Mexp[ell + 1], self._m2m)
 
         # ---- M2L: cousins at L..B+1, dense at B ----------------------------
-        loc = {ell: np.zeros(((1 << ell), self.Q, k), dtype=dtype)
-               for ell in range(self.B, self.L + 1)}
-        for ell in range(self.L, self.B, -1):
-            nbl = 1 << ell
-            K = self._m2l_operator(ell)
-            bidx = np.arange(nbl)
-            for parity, offsets in ((0, COUSINS_EVEN), (1, COUSINS_ODD)):
-                tb = bidx[parity::2]
-                for si, s in enumerate(offsets):
-                    srcb = (tb + s) % nbl
-                    loc[ell][tb] += np.einsum(
-                        "ij,bjr->bir", K[parity, si], Mexp[ell][srcb]
-                    )
-        nbB = 1 << self.B
-        KB = self._m2l_base_operator()
-        bidx = np.arange(nbB)
-        for si, s in enumerate(base_offsets(self.B)):
-            srcb = (bidx + s) % nbB
-            loc[self.B] += np.einsum("ij,bjr->bir", KB[si], Mexp[self.B][srcb])
+        loc = {}
+        for ell in range(L, B, -1):
+            ext = batched.periodic_extend(Mexp[ell], 2)
+            loc[ell] = batched.m2l_cousin_kernel(ext, self._m2l_operator(ell))
+        ext = batched.periodic_extend(Mexp[B], 1 << B)
+        loc[B] = batched.m2l_base_kernel(ext, self._m2l_base_operator(), 0, 1 << B)
 
         # ---- downward: L2L to the leaves, L2T at targets --------------------
-        for ell in range(self.B, self.L):
-            nbl = 1 << ell
-            pair = np.einsum("kq,bqr->bkr", self._m2m.T, loc[ell])
-            loc[ell + 1] += pair.reshape(2 * nbl, self.Q, k)
-        to, tb_ = self._tgt_order, self._tgt_bounds
-        for b in range(self.nb):
-            sl = to[tb_[b] : tb_[b + 1]]
+        for ell in range(B, L):
+            loc[ell + 1] = loc[ell + 1] + batched.l2l_kernel(loc[ell], self._m2m)
+        to, tb = self._tgt_order, self._tgt_bounds
+        for b in range(nb):
+            sl = to[tb[b] : tb[b + 1]]
             if sl.size:
-                out[sl] += self._l2t_blocks[b] @ loc[self.L][b]
+                out[sl] += self._l2t_blocks[b] @ loc[L][:, b, :].T
 
         # ---- near field: direct with positions ------------------------------
         self._near_field(w, out)

@@ -86,20 +86,27 @@ class TestCommands:
 
     def test_trace_export(self, capsys, tmp_path):
         import json
+        import re
 
         out_file = tmp_path / "t.json"
         assert main(["trace", "--n", "2^16", "--out", str(out_file)]) == 0
+        n_ops = int(re.search(r"trace of (\d+) ops", capsys.readouterr().out)[1])
         doc = json.loads(out_file.read_text())
-        assert doc["traceEvents"]
+        # one device event per ledger op (comm receive mirrors excluded)
+        device_events = [e for e in doc["traceEvents"]
+                         if e["ph"] == "X" and "rx_of" not in e["args"]]
+        assert len(device_events) == n_ops > 0
 
     def test_trace_rich_export(self, capsys, tmp_path):
         import json
 
         from repro.obs import validate_trace
 
+        # the Perfetto doc is the only export, so there is no --rich flag
+        with pytest.raises(SystemExit):
+            main(["trace", "--rich"])
         out_file = tmp_path / "t.json"
-        assert main(["trace", "--n", "2^16", "--rich",
-                     "--out", str(out_file)]) == 0
+        assert main(["trace", "--n", "2^16", "--out", str(out_file)]) == 0
         doc = json.loads(out_file.read_text())
         assert validate_trace(doc) == []
 

@@ -15,10 +15,10 @@ def _signal(P, M, rng):
     return rng.uniform(-1, 1, (P, M)) + 1j * rng.uniform(-1, 1, (P, M))
 
 
-def _run(G, M=512, P=8, ML=16, B=3, Q=16, rng=None, execute=True):
+def _run(G, M=512, P=8, ML=16, B=3, Q=16, rng=None, execute=True, fuse=False):
     ops = FmmOperators.create(M=M, P=P, ML=ML, B=B, Q=Q, G=G)
     cl = VirtualCluster(p100_nvlink_node(G), execute=execute)
-    dfmm = DistributedFMM(ops, cl)
+    dfmm = DistributedFMM(ops, cl, fuse_m2l_l2l=fuse)
     if execute:
         S = _signal(P, M, rng)
         evs, r = dfmm.run(S)
@@ -36,6 +36,23 @@ class TestMatchesBatched:
         Tref, rref = BatchedFMM(ref_ops).apply(S)
         assert np.linalg.norm(T - Tref) / np.linalg.norm(Tref) < 1e-13
         np.testing.assert_allclose(r, rref, atol=1e-11)
+
+    def test_one_device_bit_identical(self, rng):
+        """G = 1 runs the shared stage kernels on BatchedFMM's shapes."""
+        cl, dfmm, S, r = _run(1, rng=rng)
+        ref_ops = FmmOperators.create(M=512, P=8, ML=16, B=3, Q=16)
+        Tref, rref = BatchedFMM(ref_ops).apply(S)
+        assert np.array_equal(dfmm.gather(), Tref)
+        assert np.array_equal(r, rref)
+
+    @pytest.mark.parametrize("G", [1, 2, 4])
+    def test_fused_m2l_l2l_bit_identical(self, G):
+        """Fusing M2L with L2L changes launches and costs, not numerics."""
+        (_, split, _, r0), (_, fused, _, r1) = (
+            _run(G, rng=np.random.default_rng(5), fuse=fuse) for fuse in (False, True)
+        )
+        assert np.array_equal(split.gather(), fused.gather())
+        assert np.array_equal(r0, r1)
 
     @pytest.mark.parametrize("B", [2, 3, 4, 5])
     def test_base_levels(self, B, rng):

@@ -16,9 +16,6 @@ class TestS2M:
         S2M = ops.s2m_matrix(12, 32)
         np.testing.assert_allclose(S2M.sum(axis=0), np.ones(32), atol=1e-10)
 
-    def test_l2t_is_transpose(self):
-        np.testing.assert_array_equal(ops.l2t_matrix(8, 16), ops.s2m_matrix(8, 16).T)
-
     def test_source_map(self):
         """s_m = -1 + (2m+1)/M_L lands strictly inside [-1, 1]."""
         S2M = ops.s2m_matrix(4, 4)

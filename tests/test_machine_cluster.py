@@ -137,15 +137,6 @@ class TestCollectives:
 
 
 class TestMemoryAndBarrier:
-    def test_scatter_gather_roundtrip(self, cluster2, rng):
-        x = rng.standard_normal(64)
-        cluster2.scatter_blocks("x", x)
-        np.testing.assert_array_equal(cluster2.gather_blocks("x"), x)
-
-    def test_scatter_rejects_indivisible(self, cluster2):
-        with pytest.raises(ParameterError):
-            cluster2.scatter_blocks("x", np.zeros(63))
-
     def test_device_memory_dict(self, cluster2):
         cluster2.dev(0)["buf"] = np.ones(4)
         assert "buf" in cluster2.dev(0)
