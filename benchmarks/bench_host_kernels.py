@@ -13,7 +13,8 @@ from repro.core.plan import FmmFftPlan
 from repro.core.single import fmmfft_single
 from repro.fftcore.stockham import fft_pow2
 from repro.fftcore.bluestein import fft_bluestein
-from repro.fmm.batched import BatchedFMM
+from repro.fmm import operators
+from repro.fmm.batched import BatchedFMM, m2l_cousin_kernel, s2t_kernel
 from repro.fmm.plan import FmmOperators
 from repro.util.prng import random_signal
 
@@ -46,6 +47,31 @@ def test_host_batched_fmm(benchmark, rng_seed=3):
     S = rng.uniform(-1, 1, (16, 4096)) + 1j * rng.uniform(-1, 1, (16, 4096))
     T, r = benchmark(fmm.apply, S)
     assert T.shape == (16, 4096)
+
+
+def _complex_boxes(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("nb", [8, 64])
+def test_host_s2t_kernel(benchmark, nb):
+    """S2T at the 2^20 shapes (P=256, ML=64): nb=8 leaf boxes is one
+    device of the 8-GPU distributed transform, nb=64 the single-device one."""
+    P, ML = 256, 64
+    s2t = operators.s2t_matrix(P, ML, N=1 << 20)
+    ext = _complex_boxes((P - 1, nb + 2, ML), seed=5)
+    T = benchmark(s2t_kernel, ext, s2t)
+    assert T.shape == (P - 1, nb, ML)
+
+
+def test_host_m2l_cousin_kernel(benchmark):
+    """Cousin M2L at the single-device 2^20 leaf level (64 boxes, Q=16)."""
+    P, Q, level = 256, 16, 6
+    K = operators.m2l_level_tensor(level, P, Q, N=1 << 20)
+    ext = _complex_boxes((P - 1, (1 << level) + 4, Q), seed=6)
+    loc = benchmark(m2l_cousin_kernel, ext, K)
+    assert loc.shape == (P - 1, 1 << level, Q)
 
 
 def test_host_fmmfft_end_to_end(benchmark):

@@ -1,14 +1,17 @@
 """Single-device batched execution of the P-1 interleaved FMMs.
 
-One NumPy ``matmul`` per stage per level — the direct analogue of the
-paper's "single call to BatchedGEMM" claims (Sections 4.4-4.5).  The
+Each stage per level is one batched kernel, a few NumPy ``matmul`` calls
+over all p at once — the direct analogue of the paper's "single call to
+BatchedGEMM" claims (Sections 4.4-4.5).  The
 kernel-launch inventory for L - B = 10 is exactly the paper's Figure 2
 count: 1 S2M + 10 M2M + 1 S2T + (10 + 1) M2L + 1 reduce + 10 L2L +
 1 L2T = 35.
 
 Tensor layout: batch-of-FMMs axes ordered ``(p, box, within-box)`` so
 every contraction is a broadcasted matrix product over a contiguous
-trailing pair.
+trailing pair.  S2T and M2L, whose operators differ per p, instead put
+the operator on the left of a box-innermost copy of their sources, so
+complex data runs as one real GEMM (:func:`real_op_matmul`).
 
 The module-level ``*_kernel`` functions are the one implementation of
 the S2T, M2M, M2L and L2L numerics, shared by :class:`BatchedFMM`, the
@@ -34,17 +37,35 @@ def periodic_extend(a: np.ndarray, width: int) -> np.ndarray:
     return np.concatenate([a[..., -width:, :], a, a[..., :width, :]], axis=-2)
 
 
+def real_op_matmul(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``k @ x`` for a real operator ``k``, as one real GEMM.
+
+    ``@`` would promote ``k`` to complex (a complex temporary of the whole
+    operator on every call) and run a complex GEMM at 4x the real flops.
+    A complex ``x`` whose last axis is contiguous is instead read as a
+    real array with twice the columns, real and imaginary parts
+    interleaved, so one real GEMM does the two real products the cost
+    model charges.  Real ``x`` and complex ``k`` go straight to ``@``.
+    """
+    if not np.iscomplexobj(x) or np.iscomplexobj(k):
+        return k @ x
+    return (k @ x.view(x.real.dtype)).view(np.result_type(k, x))
+
+
 def s2t_kernel(ext: np.ndarray, s2t: np.ndarray) -> np.ndarray:
     """Near field from a width-1 extension ``(..., P-1, nb+2, ML)``.
 
     ``T[pi, b, i] = sum_j' K[pi, i, j'] S_halo[pi, b, j']`` with the
-    halo triple [b-1, b, b+1] flattened into ``j'``.
+    halo triple [b-1, b, b+1] flattened into ``j'``.  The sources are
+    transposed once, box axis innermost; each third of ``K`` then meets
+    that copy shifted by one box, so no halo triple is ever built.
     """
-    nb = ext.shape[-2] - 2
-    Sh = np.concatenate(
-        [ext[..., 0:nb, :], ext[..., 1 : nb + 1, :], ext[..., 2 : nb + 2, :]], axis=-1
-    )  # (..., P-1, nb, 3 ML)
-    return Sh @ s2t.transpose(0, 2, 1)
+    nb, ML = ext.shape[-2] - 2, ext.shape[-1]
+    src = np.ascontiguousarray(ext.swapaxes(-1, -2))  # (..., P-1, ML, nb+2)
+    T = real_op_matmul(s2t[..., :ML], src[..., :nb])
+    for o in (1, 2):
+        T += real_op_matmul(s2t[..., o * ML : (o + 1) * ML], src[..., o : o + nb])
+    return T.swapaxes(-1, -2)
 
 
 def m2m_kernel(child: np.ndarray, m2m: np.ndarray) -> np.ndarray:
@@ -62,14 +83,10 @@ def m2l_cousin_kernel(ext: np.ndarray, K: np.ndarray) -> np.ndarray:
     ``(2, 3, Q, Q)`` operator go through the same code.
     """
     nb = ext.shape[-2] - 4
-    loc = np.zeros((*ext.shape[:-2], nb, ext.shape[-1]), dtype=ext.dtype)
-    b = np.arange(nb)
+    loc = np.empty((*ext.shape[:-2], nb, ext.shape[-1]), dtype=ext.dtype)
     for parity, offsets in ((0, COUSINS_EVEN), (1, COUSINS_ODD)):
-        targets = b[parity::2]
-        for si, s in enumerate(offsets):
-            loc[..., targets, :] += np.matmul(
-                ext[..., targets + s + 2, :], K[..., parity, si, :, :].swapaxes(-1, -2)
-            )
+        src = np.arange(parity, nb, 2)[:, None] + offsets + 2
+        loc[..., parity::2, :] = _offsets_gemm(ext, src, K[..., parity, :, :, :])
     return loc
 
 
@@ -81,11 +98,22 @@ def m2l_base_kernel(ext: np.ndarray, K: np.ndarray, b0: int, b1: int) -> np.ndar
     translates the source at offset ``base_offsets(B)[si]``.
     """
     nbB = ext.shape[-2] // 3
-    src = np.arange(b0, b1) + nbB
-    loc = np.zeros((*ext.shape[:-2], b1 - b0, ext.shape[-1]), dtype=ext.dtype)
-    for si, s in enumerate(base_offsets(nbB.bit_length() - 1)):
-        loc += np.matmul(ext[..., src + s, :], K[..., si, :, :].swapaxes(-1, -2))
-    return loc
+    src = np.arange(b0, b1)[:, None] + base_offsets(nbB.bit_length() - 1) + nbB
+    return _offsets_gemm(ext, src, K)
+
+
+def _offsets_gemm(ext: np.ndarray, src: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """``sum_si ext[..., src[t, si], :] @ K[..., si, :, :]^T`` as one GEMM.
+
+    The S source offsets sit side by side along the contraction axis,
+    against ``K`` laid out as ``(Q, S Q)``; the gathered sources are
+    stored box axis innermost for :func:`real_op_matmul`.
+    """
+    nt, S = src.shape
+    Q = ext.shape[-1]
+    x = np.ascontiguousarray(ext[..., src.T, :].swapaxes(-1, -2))  # (..., S, Q, nt)
+    k = K.swapaxes(-3, -2).reshape(*K.shape[:-3], Q, S * Q)
+    return real_op_matmul(k, x.reshape(*ext.shape[:-2], S * Q, nt)).swapaxes(-1, -2)
 
 
 def l2l_kernel(parent: np.ndarray, m2m: np.ndarray) -> np.ndarray:

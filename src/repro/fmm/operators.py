@@ -121,13 +121,13 @@ def s2t_matrix(P: int, ML: int, N: int) -> np.ndarray:
 
     ``K[pi, i, j']`` with targets i in the centre box and sources j' in
     the halo-extended box triple ``[b-1, b, b+1]`` (length 3 M_L);
-    lag ``k = j' - M_L - i`` indexes the Toeplitz generator.
+    lag ``k = j' - M_L - i`` indexes the Toeplitz generator, so row i is
+    the 3 M_L-lag window starting at column ``M_L - 1 - i``.  Returned
+    C-contiguous, so every per-p slice goes to BLAS as it is.
     """
     lags = s2t_lags(P, ML, N)  # (P-1, 4ML-1), lag k at column k + 2ML - 1
-    i = np.arange(ML)
-    jp = np.arange(3 * ML)
-    k_idx = (jp[None, :] - ML - i[:, None]) + (2 * ML - 1)  # (ML, 3ML)
-    return lags[:, k_idx]  # (P-1, ML, 3ML)
+    windows = np.lib.stride_tricks.sliding_window_view(lags, 3 * ML, axis=-1)
+    return np.ascontiguousarray(windows[:, ML - 1 :: -1, :])  # (P-1, ML, 3ML)
 
 
 def rho_factors(P: int, M: int) -> np.ndarray:

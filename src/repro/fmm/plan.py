@@ -1,11 +1,12 @@
 """Precomputed operator bundle for a batch of P-1 FMMs.
 
 :class:`FmmOperators` builds every Section 4 operator once for a given
-``(M, P, M_L, B, Q)`` and precision, in the layout the executors consume
-(transposed for right-multiplication where that saves a transpose per
-apply).  Operators are real; the C-factor accounting for complex inputs
-happens at launch-costing time, exactly as the paper's Section 5 flop
-counts prescribe.
+``(M, P, M_L, B, Q)`` and precision.  Operators are real and stored
+C-contiguous, so every per-p slice reaches BLAS as it is.  Complex data
+meets them as real GEMMs (:func:`repro.fmm.batched.real_op_matmul`): two
+real products per complex entry, never a complex copy of an operator.
+That is the C-factor (``c_factor`` = 2 for complex) the launch costing
+charges, exactly as the paper's Section 5 flop counts prescribe.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.fmm.batched import BatchedFMM
+from repro.fmm.batched import BatchedFMM, real_op_matmul
 from repro.fmm.plan import FmmOperators
 from repro.fmm.reference import dense_apply_all
 from repro.util.validation import ParameterError
@@ -76,6 +76,58 @@ class TestAccuracy:
         T2, r2 = fmm.apply(S2)
         np.testing.assert_allclose(T12, T1 + 2 * T2, atol=1e-10)
         np.testing.assert_allclose(r12, r1 + 2 * r2, atol=1e-10)
+
+
+class TestStackedInput:
+    @pytest.mark.parametrize(
+        "dtype,ops_dtype",
+        [(np.complex128, "complex128"), (np.complex64, "complex64"), (np.float64, "complex128")],
+    )
+    def test_stack_equals_each_slice(self, dtype, ops_dtype, rng):
+        """A (3, P, M) stack is bit-identical to applying each slice alone."""
+        fmm = _fmm(M=512, P=8, ML=16, B=2, dtype=ops_dtype)
+        S = np.stack([_signal(8, 512, rng) for _ in range(3)])
+        S = (S.real if dtype == np.float64 else S).astype(dtype)
+        T, r = fmm.apply(S)
+        for n in range(3):
+            Tn, rn = fmm.apply(S[n])
+            assert np.array_equal(T[n], Tn)
+            assert np.array_equal(r[n], rn)
+
+
+class TestRealOpMatmul:
+    @staticmethod
+    def _operands(rng, dtype, real):
+        k = rng.standard_normal((5, 12, 48)).astype(real)
+        big = rng.standard_normal((5, 48, 9)) + 1j * rng.standard_normal((5, 48, 9))
+        return k, big.astype(dtype)[..., 1:8]  # a column window, as S2T passes
+
+    @pytest.mark.parametrize("dtype,real", [(np.complex128, np.float64), (np.complex64, np.float32)])
+    def test_matches_complex_matmul(self, dtype, real, rng):
+        k, x = self._operands(rng, dtype, real)
+        out = real_op_matmul(k, x)
+        ref = k.astype(dtype) @ x
+        assert out.dtype == dtype
+        assert np.abs(out - ref).max() <= 4 * np.finfo(real).eps * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "dtype,real,expect",
+        [
+            (np.complex64, np.float32, np.complex64),
+            (np.complex64, np.float64, np.complex128),
+            (np.complex128, np.float32, np.complex128),
+        ],
+    )
+    def test_result_dtype(self, dtype, real, expect, rng):
+        k, x = self._operands(rng, dtype, real)
+        out = real_op_matmul(k, x)
+        assert out.dtype == expect == np.result_type(k, x)
+
+    def test_real_data_or_complex_operator_takes_plain_matmul(self, rng):
+        k, x = self._operands(rng, np.complex128, np.float64)
+        assert np.array_equal(real_op_matmul(k, x.real), k @ x.real)
+        kc = k + 0.5j
+        assert np.array_equal(real_op_matmul(kc, x), kc @ x)
 
 
 class TestStages:

@@ -99,6 +99,16 @@ class TestS2T:
             vals = [K[1, i, i + 8 + d] for i in range(3)]
             assert np.ptp(vals) < 1e-14
 
+    @pytest.mark.parametrize("P,ML", [(4, 16), (256, 64)])
+    def test_matrix_equals_lag_formula(self, P, ML):
+        """Entry (i, j') is the generator at lag k = j' - M_L - i, exactly."""
+        N = P * 16 * ML
+        lags = ops.s2t_lags(P, ML, N)
+        i = np.arange(ML)[:, None]
+        jp = np.arange(3 * ML)[None, :]
+        expect = lags[:, (jp - ML - i) + 2 * ML - 1]
+        assert np.array_equal(ops.s2t_matrix(P, ML, N), expect)
+
     def test_matches_paper_definition(self):
         """S2T[p, k] = cot(pi (p + P k)/N) for flattened lag k."""
         P, ML, N = 4, 8, 256
@@ -137,6 +147,18 @@ class TestFmmOperatorsBundle:
         b = FmmOperators.create(M=64, P=4, ML=16, B=2, Q=8, dtype="complex64")
         assert b.s2m.dtype == np.float32
         assert b.rho.dtype == np.complex64
+
+    @pytest.mark.parametrize("dtype,real", [("complex128", np.float64), ("complex64", np.float32)])
+    def test_every_operator_c_contiguous(self, dtype, real):
+        """Each per-p slice must reach BLAS as it is, with no copy."""
+        b = FmmOperators.create(M=1024, P=8, ML=16, B=3, Q=8, dtype=dtype)
+        arrays = {"s2m": b.s2m, "m2m": b.m2m, "m2l_base": b.m2l_base, "s2t": b.s2t}
+        arrays.update({f"m2l_level[{ell}]": K for ell, K in b.m2l_level.items()})
+        assert len(b.m2l_level) == 3
+        for name, a in arrays.items():
+            assert a.flags.c_contiguous, name
+            assert a.dtype == real, name
+        assert b.rho.flags.c_contiguous
 
     def test_rejects_p1(self):
         with pytest.raises(ParameterError):
