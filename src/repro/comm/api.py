@@ -79,7 +79,7 @@ def _log(cl, name: str, kind: str, algorithm: str, payload: float,
     """Append one comm_log entry (skipped on G=1 degenerate clusters)."""
     if cl.G == 1:
         return
-    cl.comm_log.append({
+    cl.log_comm({
         "name": name,
         "kind": kind,
         "algorithm": algorithm,
@@ -178,15 +178,9 @@ def _dep_time(deps) -> float:
 
 
 def _msg_start(cl, src: int, dst: int, deps) -> float:
-    """Side-effect-free estimate of a message's start time.
-
-    Mirrors ``cluster.sendrecv``'s ``max(ready_after(...))`` without
-    touching the streams (``ready_after`` marks events as waited), so
-    fault-outcome queries never perturb the schedule.
-    """
-    return max(cl.dev(src).stream("comm.tx").clock,
-               cl.dev(dst).stream("comm.rx").clock,
-               _dep_time(deps))
+    """A message's start time by the cluster's start rule (no side effects)."""
+    return cl.start_time((cl.dev(src).stream("comm.tx"),
+                          cl.dev(dst).stream("comm.rx")), _dep_time(deps))
 
 
 def _send(cl, src, dst, nbytes, name, deps, fn, reads, writes,
@@ -260,11 +254,8 @@ def _collective_gate(cl, name, dep, reads, writes, budget):
     inj, policy = cl.faults, cl.retry
     dep = list(dep)
     while True:
-        t0 = max(
-            max(d.stream("comm.tx").clock, d.stream("comm.rx").clock)
-            for d in cl.devices
-        )
-        t0 = max(t0, _dep_time(dep))
+        t0 = cl.start_time([d.stream(s) for d in cl.devices
+                            for s in ("comm.tx", "comm.rx")], _dep_time(dep))
         outcome = inj.collective_outcome(name, t0)
         if outcome == "ok":
             return dep
@@ -329,7 +320,7 @@ def _done_events(cl, touch, name: str) -> list:
     devices (cannot happen for the built-in plans, but stays total)."""
     return [
         touch[g] if touch[g] is not None
-        else Event(cl.dev(g).stream("comm.rx").clock, name)
+        else Event(cl.start_time((cl.dev(g).stream("comm.rx"),)), name)
         for g in range(cl.G)
     ]
 
@@ -505,7 +496,7 @@ def grouped_alltoall(
         per_dev, extra = _normalize_after(after, cl.G)
         touch = _issue_plan(cl, plan, name, per_dev, extra, fn, touch,
                             _new_budget(cl))
-        cl.comm_log.append({
+        cl.log_comm({
             "name": name, "kind": "alltoall", "algorithm": "grouped",
             "payload": bytes_sent_per_device, "chunks": 1, "G": cl.G,
             "predicted": _plans.plan_time(cl.spec, plan),
@@ -534,7 +525,7 @@ def halo_exchange(
     if G == 1:
         if after:
             return [Event(after[0].time, name)]
-        return [Event(cl.dev(0).stream("comm.rx").clock, name)]
+        return [Event(cl.start_time((cl.dev(0).stream("comm.rx"),)), name)]
     deps = list(after) if after else [None] * G
     budget = _new_budget(cl)
     ev_right = [
@@ -552,7 +543,7 @@ def halo_exchange(
     spec = cl.spec
     shift_r = [_plans.Msg(g, (g + 1) % G, nbytes) for g in range(G)]
     shift_l = [_plans.Msg(g, (g - 1) % G, nbytes) for g in range(G)]
-    cl.comm_log.append({
+    cl.log_comm({
         "name": name, "kind": "halo", "algorithm": "ring", "payload": nbytes,
         "chunks": 1, "G": G,
         "predicted": _plans.round_time(spec, shift_r)
@@ -591,7 +582,7 @@ def sendrecv(
     else:
         predicted = (cl.spec.comm_latency()
                      + nbytes / cl.spec.pair_bandwidth(src, dst))
-    cl.comm_log.append({
+    cl.log_comm({
         "name": name, "kind": "p2p", "algorithm": "p2p", "payload": nbytes,
         "chunks": 1, "G": cl.G, "predicted": predicted,
     })

@@ -3,7 +3,7 @@
 The subsystem in three moves:
 
 1. **Capture** (:mod:`repro.ir.capture`): run any pipeline once on a
-   :class:`RecordingCluster` proxy — a fully valid interpreted run —
+   live cluster with a recorder attached — a plain interpreted run —
    and get an :class:`IRGraph` of everything it issued, with
    dependency edges resolved from the actual event objects.
 2. **Certify** (:meth:`IRGraph.certify` + :mod:`repro.ir.prealloc`):
@@ -11,9 +11,11 @@ The subsystem in three moves:
    ledger, and check every captured collective against its
    :class:`~repro.analysis.plancheck.PlanCertificate`, deriving the
    graph-level preallocation contract.
-3. **Replay** (:class:`ReplayExecutor`): a tight walk over compiled
-   step tuples with zero per-run plan/graph construction, producing
-   ledger, telemetry, and (execute mode) numerics bit-identical to the
+3. **Replay** (:class:`ReplayExecutor`): a walk over compiled step
+   tuples that feeds each op to the cluster's own commit for its
+   record shape — the same timing arithmetic interpretation uses —
+   with zero per-run plan/graph construction, producing ledger,
+   telemetry, and (execute mode) numerics bit-identical to the
    interpreted run.
 
 :mod:`repro.ir.pipelines` has one capture entry point per pipeline;
@@ -22,7 +24,7 @@ The subsystem in three moves:
 
 from __future__ import annotations
 
-from repro.ir.capture import CaptureError, RecordingCluster, capture
+from repro.ir.capture import CaptureError, capture
 from repro.ir.executor import ReplayError, ReplayExecutor, scratch_replay
 from repro.ir.fuse import fuse_elementwise
 from repro.ir.graph import IRGraph, IRNode
@@ -43,7 +45,6 @@ __all__ = [
     "IRGraph",
     "IRNode",
     "PIPELINE_NAMES",
-    "RecordingCluster",
     "ReplayError",
     "ReplayExecutor",
     "capture",

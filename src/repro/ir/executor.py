@@ -1,19 +1,21 @@
 """Compiled replay executor: run a captured graph with zero planning.
 
-:class:`ReplayExecutor` compiles an :class:`~repro.ir.graph.IRGraph`
-against one live cluster exactly once — resolving stream objects,
-pre-qualifying (and optionally slot-renaming) buffer declarations,
-pre-splitting region paths, and freezing every modeled duration — and
-then :meth:`run` is a tight walk over flat step tuples: per replayed
-op it computes the start time from stream clocks and dependency
-completion times using the *same* arithmetic as the interpreted engine
-primitives in :mod:`repro.machine.cluster`, appends the ledger record,
-advances the streams, re-emits the captured comm telemetry, and (in
-execute mode) invokes the captured NumPy closure.  No pipeline object,
-plan, operator bundle, comm plan, roofline evaluation, or region
-context manager is constructed per run — that is the entire point.
+:class:`ReplayExecutor` binds an :class:`~repro.ir.graph.IRGraph` to
+one live cluster and compiles it exactly once — pre-qualifying (and
+optionally slot-renaming) buffer declarations, pre-splitting region
+paths, and freezing every modeled duration — and then :meth:`run` is a
+walk over flat step tuples: per replayed op it
+resolves the dependency floor and waited-on uids from the completion
+times and uids of earlier steps, and hands them to the cluster's own
+commit for that record shape (:mod:`repro.machine.cluster`), which
+applies the start rule, appends the ledger record, runs the captured
+NumPy closure (execute mode) and advances the streams — the same code
+an interpreted run goes through.  Replay adds only the captured comm
+telemetry and ``comm_log`` entries.  No pipeline object, plan,
+operator bundle, comm plan, roofline evaluation, or region context
+manager is constructed per run — that is the entire point.
 
-Because the start-time arithmetic is identical and all durations were
+Because the timing arithmetic is shared and all durations were
 recorded fault-free, a replay beginning from the same stream state as
 an interpreted run produces bit-identical ledger records (modulo the
 requested buffer renaming / region prefix), which the bit-identity test
@@ -26,6 +28,8 @@ the capture machine (durations would silently misprice).
 
 from __future__ import annotations
 
+import functools
+
 from repro.ir.graph import (
     OP_ACTION,
     OP_BARRIER,
@@ -37,19 +41,85 @@ from repro.ir.graph import (
     OP_P2P,
     OP_P2P_SELF,
 )
-from repro.machine.ledger import OpRecord
+from repro.machine.cluster import VirtualCluster
 from repro.machine.spec import spec_fingerprint
 from repro.util.validation import ParameterError
+
+
+#: compiled step codes
+_COMMIT, _COLL1, _BARRIER, _ACTION, _LOG = range(5)
 
 
 class ReplayError(ParameterError):
     """The graph cannot be replayed on this cluster."""
 
 
-def _rename(name: str, old: str, new: str) -> str:
-    if old and name.startswith(old):
-        return new + name[len(old):]
-    return name
+def _compile(graph, rename, region_strip) -> list:
+    """The graph as flat replay steps, independent of any cluster.
+
+    Record ops become ``(_COMMIT, deps, commit, region remainder,
+    commit args, p2p telemetry intent or None)``, where ``commit`` is
+    the :class:`~repro.machine.cluster.VirtualCluster` commit for the
+    node's record shape; the other opcodes carry their own fields.
+    """
+    old, new = rename if rename is not None else ("", "")
+    G = graph.meta["G"]
+
+    # graphs repeat a few buffer names and regions over many nodes
+    @functools.cache
+    def ren(name):
+        return new + name[len(old):] if old and name.startswith(old) else name
+
+    def q(g, names):
+        return tuple([(g, ren(b)) for b in names])
+
+    @functools.cache
+    def rgn(region):
+        return "/".join(region.split("/")[region_strip:]) if region else ""
+
+    steps = []
+    for n in graph.nodes:
+        op, g = n.op, n.device
+        intent = None
+        if op == OP_LAUNCH:
+            commit, args = VirtualCluster._commit_launch, (
+                g, n.stream, n.kind, n.name, n.duration, n.flops, n.mops,
+                q(g, n.reads), q(g, n.writes))
+        elif op == OP_HOST:
+            commit, args = VirtualCluster._commit_host, (
+                g, n.name, q(g, n.reads), q(g, n.writes))
+        elif op == OP_P2P_SELF:
+            commit, args = VirtualCluster._commit_self_send, (
+                g, n.name, q(g, n.reads), q(g, n.writes))
+        elif op == OP_P2P:
+            commit, args = VirtualCluster._commit_p2p, (
+                g, n.peer, n.name, n.duration, n.comm_bytes, q(g, n.reads),
+                q(n.peer, n.writes))
+            intent = n.tel + (n.comm_bytes,)
+        elif op == OP_COLL:
+            commit, args = VirtualCluster._commit_collective, (
+                n.name, n.duration, n.comm_bytes,
+                [q(d, n.reads) for d in range(G)],
+                [q(d, n.writes) for d in range(G)])
+        elif op == OP_COLL1:
+            steps.append((_COLL1, n.deps, n.fn))
+            continue
+        elif op == OP_BARRIER:
+            steps.append((_BARRIER, ()))
+            continue
+        elif op == OP_ACTION:
+            steps.append((_ACTION, (), n.fn))
+            continue
+        elif op == OP_LOG:
+            p = n.payload
+            steps.append((_LOG, (), dict(p["entry"]), p.get("bulk_ref", -1),
+                          p.get("bulk_bytes", 0.0)))
+            continue
+        else:  # pragma: no cover - graph.validate() rejects these
+            raise ReplayError(f"unknown IR opcode {op!r}")
+        steps.append((_COMMIT, n.deps, commit, rgn(n.region), args + (n.fn,),
+                      intent))
+    return steps
 
 
 class ReplayExecutor:
@@ -91,67 +161,8 @@ class ReplayExecutor:
         self.graph = graph
         self.cluster = cluster
         self._tel_memo: tuple | None = None
-        old, new = rename if rename is not None else ("", "")
-        G = cluster.G
-        devs = cluster.devices
-        comm_tx = [d.stream("comm.tx") for d in devs]
-        comm_rx = [d.stream("comm.rx") for d in devs]
-        all_streams = [st for d in devs for st in d.streams.values()]
-
-        def q(g, names):
-            return tuple((g, _rename(b, old, new)) for b in names)
-
-        def rgn(region):
-            parts = region.split("/") if region else []
-            return "/".join(parts[region_strip:])
-
-        steps = []
-        for n in graph.nodes:
-            op = n.op
-            if op == OP_LAUNCH:
-                st = devs[n.device].stream(n.stream)
-                steps.append((0, n.deps, n.device, n.stream, st, n.kind,
-                              n.name, n.duration, n.flops, n.mops,
-                              q(n.device, n.reads), q(n.device, n.writes),
-                              rgn(n.region), n.fn))
-            elif op == OP_HOST:
-                st = devs[n.device].stream("compute")
-                steps.append((1, n.device, st, n.name,
-                              q(n.device, n.reads), q(n.device, n.writes),
-                              rgn(n.region), n.fn))
-            elif op == OP_P2P_SELF:
-                steps.append((2, n.deps, n.device, comm_tx[n.device],
-                              comm_rx[n.device], n.name,
-                              q(n.device, n.reads), q(n.device, n.writes),
-                              rgn(n.region), n.fn))
-            elif op == OP_P2P:
-                steps.append((3, n.deps, n.device, n.peer,
-                              comm_tx[n.device], comm_rx[n.peer], n.name,
-                              n.duration, n.comm_bytes,
-                              q(n.device, n.reads), q(n.peer, n.writes),
-                              rgn(n.region), n.fn, n.tel))
-            elif op == OP_COLL:
-                rq = [q(g, n.reads) for g in range(G)]
-                wq = [q(g, n.writes) for g in range(G)]
-                steps.append((4, n.deps, n.name, n.duration, n.comm_bytes,
-                              rq, wq, rgn(n.region), n.fn,
-                              comm_tx, comm_rx))
-            elif op == OP_COLL1:
-                steps.append((5, n.deps, comm_tx[0], n.fn))
-            elif op == OP_BARRIER:
-                steps.append((6, all_streams))
-            elif op == OP_ACTION:
-                steps.append((7, n.fn))
-            elif op == OP_LOG:
-                p = n.payload
-                steps.append((8, dict(p["entry"]),
-                              p.get("bulk_ref", -1),
-                              p.get("bulk_bytes", 0.0)))
-            else:  # pragma: no cover - graph.validate() rejects these
-                raise ReplayError(f"unknown IR opcode {op!r}")
-        self._steps = steps
-        self._n = len(steps)
-        self._range_G = range(G)
+        self._steps = _compile(graph, rename, region_strip)
+        self._n = len(self._steps)
 
     # -- telemetry mirrors (same series/labels as repro.comm.api) ------
 
@@ -189,8 +200,6 @@ class ReplayExecutor:
         record's compile-stripped region remainder.
         """
         cl = self.cluster
-        append = cl.ledger.append_stamped
-        execute = cl.execute
         tel = cl.telemetry
         ends = [0.0] * self._n
         uids: list = [None] * self._n
@@ -198,165 +207,39 @@ class ReplayExecutor:
         pfx = region_prefix
         for i, step in enumerate(self._steps):
             code = step[0]
-            if code == 0:  # launch
-                (_, deps, g, stream, st, kind, name, dur, flops, mops,
-                 reads, writes, rem, fn) = step
-                start = st.clock
-                w = []
-                for idx, sub, in_w in deps:
-                    t = release if idx < 0 else ends[idx]
-                    if t > start:
-                        start = t
-                    if in_w:
-                        u = uids[idx]
-                        w.append(u if sub < 0 else u[sub])
-                uid = append(OpRecord(
-                    device=g, stream=stream, kind=kind, name=name,
-                    start=start, duration=dur, flops=flops, mops=mops,
-                    reads=reads, writes=writes, waits=tuple(w),
-                    region=pfx + rem if pfx else rem))
-                if fn is not None and execute:
-                    fn(cl)
-                end = start + dur
-                st.clock = end
+            floor = 0.0
+            w = []
+            for idx, sub, in_w in step[1]:
+                t = release if idx < 0 else ends[idx]
+                if t > floor:
+                    floor = t
+                if in_w:
+                    u = uids[idx]
+                    w.append(u if sub < 0 else u[sub])
+            if code == _COMMIT:
+                _, _, commit, rem, args, intent = step
+                start, end, ref = commit(cl, floor, tuple(w),
+                                         pfx + rem if pfx else rem, *args)
                 ends[i] = end
-                uids[i] = uid
+                uids[i] = ref
                 if end > finish:
                     finish = end
-            elif code == 3:  # p2p
-                (_, deps, src, dst, tx, rx, name, dur, nbytes,
-                 reads, writes, rem, fn, intent) = step
-                start = tx.clock
-                if rx.clock > start:
-                    start = rx.clock
-                w = []
-                for idx, sub, in_w in deps:
-                    t = release if idx < 0 else ends[idx]
-                    if t > start:
-                        start = t
-                    if in_w:
-                        u = uids[idx]
-                        w.append(u if sub < 0 else u[sub])
-                uid = append(OpRecord(
-                    device=src, stream="comm", kind="comm", name=name,
-                    start=start, duration=dur, comm_bytes=nbytes, peer=dst,
-                    reads=reads, writes=writes, waits=tuple(w),
-                    region=pfx + rem if pfx else rem))
-                if fn is not None and execute:
-                    fn(cl)
-                end = start + dur
-                tx.clock = end
-                rx.clock = end
-                ends[i] = end
-                uids[i] = uid
-                if end > finish:
-                    finish = end
-                if tel is not None:
-                    cls, link, predicted = intent
+                if intent is not None and tel is not None:
+                    cls, link, predicted, nbytes = intent
                     counter, ratio = self._series(tel, cls, link)
                     counter.inc(nbytes, t=end)
                     if predicted > 0.0 and end > start:
                         ratio.observe((end - start) / predicted, t=end)
-            elif code == 2:  # self-send / G=1 local copy
-                (_, deps, src, tx, rx, name, reads, writes, rem, fn) = step
-                if fn is not None and execute:
+            elif code == _COLL1:  # G=1 degenerate collective
+                ends[i] = cl._collective1(floor, step[2])
+            elif code == _BARRIER:
+                ends[i] = cl._commit_barrier()
+            elif code == _ACTION:  # host-side data action
+                fn = step[2]
+                if fn is not None and cl.execute:
                     fn(cl)
-                start = tx.clock
-                if rx.clock > start:
-                    start = rx.clock
-                w = []
-                for idx, sub, in_w in deps:
-                    t = release if idx < 0 else ends[idx]
-                    if t > start:
-                        start = t
-                    if in_w:
-                        u = uids[idx]
-                        w.append(u if sub < 0 else u[sub])
-                uid = append(OpRecord(
-                    device=src, stream="comm", kind="comm", name=name,
-                    start=start, duration=0.0, comm_bytes=0.0, peer=src,
-                    reads=reads, writes=writes, waits=tuple(w),
-                    region=pfx + rem if pfx else rem))
-                tx.clock = start
-                rx.clock = start
-                ends[i] = start
-                uids[i] = uid
-                if start > finish:
-                    finish = start
-            elif code == 4:  # bulk collective
-                (_, deps, name, dur, bpd, rq, wq, rem, fn,
-                 comm_tx, comm_rx) = step
-                start = 0.0
-                for st in comm_tx:
-                    if st.clock > start:
-                        start = st.clock
-                for st in comm_rx:
-                    if st.clock > start:
-                        start = st.clock
-                w = []
-                for idx, sub, in_w in deps:
-                    t = release if idx < 0 else ends[idx]
-                    if t > start:
-                        start = t
-                    if in_w:
-                        u = uids[idx]
-                        w.append(u if sub < 0 else u[sub])
-                waits = tuple(w)
-                region = pfx + rem if pfx else rem
-                us = [append(OpRecord(
-                    device=g, stream="comm", kind="comm", name=name,
-                    start=start, duration=dur, comm_bytes=bpd,
-                    reads=rq[g], writes=wq[g], waits=waits,
-                    region=region)) for g in self._range_G]
-                if fn is not None and execute:
-                    fn(cl)
-                end = start + dur
-                for st in comm_tx:
-                    st.clock = end
-                for st in comm_rx:
-                    st.clock = end
-                ends[i] = end
-                uids[i] = us
-                if end > finish:
-                    finish = end
-            elif code == 1:  # host op
-                (_, g, st, name, reads, writes, rem, fn) = step
-                start = st.clock
-                uid = append(OpRecord(
-                    device=g, stream="compute", kind="host", name=name,
-                    start=start, duration=0.0, reads=reads, writes=writes,
-                    region=pfx + rem if pfx else rem))
-                if fn is not None and execute:
-                    fn(cl)
-                ends[i] = start
-                uids[i] = uid
-                if start > finish:
-                    finish = start
-            elif code == 5:  # G=1 degenerate collective
-                (_, deps, tx0, fn) = step
-                if fn is not None and execute:
-                    fn(cl)
-                end = tx0.clock
-                for idx, _, _ in deps:
-                    t = release if idx < 0 else ends[idx]
-                    if t > end:
-                        end = t
-                ends[i] = end
-            elif code == 6:  # barrier
-                (_, streams) = step
-                t = 0.0
-                for st in streams:
-                    if st.clock > t:
-                        t = st.clock
-                for st in streams:
-                    st.clock = t
-                ends[i] = t
-            elif code == 7:  # host-side data action
-                fn = step[1]
-                if fn is not None and execute:
-                    fn(cl)
-            else:  # code == 8: comm_log entry (+ bulk byte counter)
-                (_, entry, bulk_ref, bulk_bytes) = step
+            else:  # comm_log entry (+ bulk byte counter)
+                (_, _, entry, bulk_ref, bulk_bytes) = step
                 cl.comm_log.append(dict(entry))
                 if bulk_ref >= 0 and tel is not None:
                     self._bulk_counter(tel).inc(bulk_bytes,
@@ -371,8 +254,6 @@ def scratch_replay(graph, spec):
     uids from zero) is what :meth:`IRGraph.certify` hazard-checks, and
     what tests fingerprint against an interpreted run.
     """
-    from repro.machine.cluster import VirtualCluster
-
     cl = VirtualCluster(spec, execute=False)
     ReplayExecutor(graph, cl).run()
     return cl

@@ -23,6 +23,19 @@ valid serialization order, ``fn`` closures run immediately (so data is
 always ready), and the event algebra reconstructs what the *parallel*
 timeline would have been.
 
+All timing arithmetic lives here, once.  :meth:`VirtualCluster.start_time`
+is the start rule (the latest of the occupied streams' clocks and the
+dependency floor), and one private commit per record shape — launch,
+host op, self-send, p2p, bulk collective — applies it, stretches the
+duration through the fault hook, appends the
+:class:`~repro.machine.ledger.OpRecord`, runs ``fn`` and advances the
+clocks.  The public primitives feed the commits from their ``after``
+events; :class:`repro.ir.executor.ReplayExecutor` feeds the same commits
+from a captured graph, and :mod:`repro.comm` dates its fault-outcome
+queries with the start rule.  While :func:`repro.ir.capture.capture`
+runs, each primitive also reports what it committed to the attached
+recorder.
+
 Every op additionally declares its buffer read/write sets (``reads`` /
 ``writes``, device-local buffer names; sendrecv reads on the source and
 writes on the destination) and records which events it waited on.  The
@@ -36,13 +49,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from repro.machine.device import Device
 from repro.machine.ledger import Ledger, OpRecord
 from repro.machine.roofline import op_time
 from repro.machine.spec import ClusterSpec
-from repro.machine.stream import Event
+from repro.machine.stream import Event, Stream
 from repro.machine.trace import ExecutionTrace
 from repro.util.validation import ParameterError
 
@@ -100,6 +111,13 @@ class VirtualCluster:
         ]
         self.ledger = Ledger()
         self._a2a_bw = spec.alltoall_bandwidth() if spec.num_devices > 1 else None
+        self._comm_lat = spec.comm_latency()
+        #: each device's full-duplex comm engines (tx, rx)
+        self._tx = [d.stream("comm.tx") for d in self.devices]
+        self._rx = [d.stream("comm.rx") for d in self.devices]
+        self._comm_streams = self._tx + self._rx
+        #: the capture hook (:mod:`repro.ir.capture`) while one is active
+        self._recorder = None
         self._regions: list[str] = []
         #: one entry per repro.comm collective call (algorithm, payload,
         #: predicted time) — joined against the ledger by obs.metrics
@@ -177,17 +195,140 @@ class VirtualCluster:
         finally:
             self._regions.pop()
 
-    # -- dependency bookkeeping ---------------------------------------
+    # -- the engine: one start rule, one commit per record shape --------
+
+    @staticmethod
+    def start_time(streams: Iterable[Stream], floor: float = 0.0) -> float:
+        """The start rule: the latest of the streams' clocks and ``floor``.
+
+        An op starts once every stream it occupies is free and every
+        dependency has completed; ``floor`` is the latest dependency
+        completion time.  Side-effect free, so :mod:`repro.comm` uses it
+        to date fault-outcome queries before issuing.
+        """
+        for st in streams:
+            if st.clock > floor:
+                floor = st.clock
+        return floor
+
+    @staticmethod
+    def _after(after: Sequence[Event]) -> tuple[float, tuple]:
+        """Dependency floor and waited-on uids of an ``after`` list.
+
+        ``None`` entries are rejected: a silently skipped dependency is
+        exactly the class of bug the hazard sanitizer exists to catch.
+        """
+        floor = 0.0
+        waits = []
+        for ev in after:
+            if ev is None:
+                raise ValueError(
+                    "None event in dependency list; filter absent "
+                    "dependencies at the call site instead of passing None")
+            if ev.time > floor:
+                floor = ev.time
+            if ev.op >= 0:
+                waits.append(ev.op)
+        return floor, tuple(waits)
 
     @staticmethod
     def _qualify(g: int, keys: Sequence[str]) -> tuple:
         """Tag device-local buffer names with their device id."""
         return tuple((g, k) for k in keys)
 
-    @staticmethod
-    def _wait_uids(after: Sequence[Event]) -> tuple:
-        """Uids of the producing ops behind a dependency list."""
-        return tuple(ev.op for ev in after if ev is not None and ev.op >= 0)
+    # Each commit takes the dependency floor, the waited-on uids and the
+    # region path first, then the op's own fields (device ids, not
+    # streams, so a compiled replay program is cluster-independent).  It
+    # applies the start rule and the fault duration hook, appends the
+    # record(s), runs ``fn`` and advances the streams; it returns
+    # ``(start, end, uid)``, with the per-device uid list for a
+    # collective.  The public primitives feed the commits from their
+    # ``after`` events, :class:`repro.ir.executor.ReplayExecutor` from a
+    # captured graph.  Records are built positionally, in OpRecord field
+    # order: keyword binding costs a fifth of a record on this path.
+
+    def _commit_launch(self, floor, waits, region, g, stream, kind, name,
+                       dur, flops, mops, reads, writes, fn):
+        st = self.devices[g].stream(stream)
+        start = self.start_time((st,), floor)
+        if self.faults is not None:
+            dur *= self.faults.compute_scale(g, start)
+        uid = self.ledger.append(OpRecord(
+            g, stream, kind, name, start, dur, flops, mops, 0.0, -1, -1,
+            reads, writes, waits, region))
+        if fn is not None and self.execute:
+            fn(self)
+        end = start + dur
+        st.clock = end
+        return start, end, uid
+
+    def _commit_host(self, floor, waits, region, g, name, reads, writes, fn):
+        start = self.start_time((self.devices[g].stream("compute"),), floor)
+        uid = self.ledger.append(OpRecord(
+            g, "compute", "host", name, start, 0.0, 0.0, 0.0, 0.0, -1, -1,
+            reads, writes, waits, region))
+        if fn is not None and self.execute:
+            fn(self)
+        return start, start, uid
+
+    def _commit_self_send(self, floor, waits, region, g, name, reads, writes,
+                          fn):
+        tx, rx = self._tx[g], self._rx[g]
+        start = self.start_time((tx, rx), floor)
+        uid = self.ledger.append(OpRecord(
+            g, "comm", "comm", name, start, 0.0, 0.0, 0.0, 0.0, g, -1,
+            reads, writes, waits, region))
+        if fn is not None and self.execute:
+            fn(self)
+        tx.clock = rx.clock = start
+        return start, start, uid
+
+    def _commit_p2p(self, floor, waits, region, src, dst, name, dur, nbytes,
+                    reads, writes, fn):
+        tx, rx = self._tx[src], self._rx[dst]
+        start = self.start_time((tx, rx), floor)
+        if self.faults is not None:
+            dur *= self.faults.comm_scale(src, dst, start)
+        uid = self.ledger.append(OpRecord(
+            src, "comm", "comm", name, start, dur, 0.0, 0.0, nbytes, dst, -1,
+            reads, writes, waits, region))
+        if fn is not None and self.execute:
+            fn(self)
+        end = start + dur
+        tx.clock = rx.clock = end
+        return start, end, uid
+
+    def _commit_collective(self, floor, waits, region, name, dur, nbytes,
+                           reads, writes, fn, scaled=True):
+        streams = self._comm_streams
+        start = self.start_time(streams, floor)
+        if scaled and self.faults is not None:
+            dur *= self.faults.collective_scale(start)
+        append = self.ledger.append
+        uids = [append(OpRecord(
+            g, "comm", "comm", name, start, dur, 0.0, 0.0, nbytes, -1, -1,
+            reads[g], writes[g], waits, region)) for g in range(self.G)]
+        if fn is not None and self.execute:
+            fn(self)
+        end = start + dur
+        for st in streams:
+            st.clock = end
+        return start, end, uids
+
+    def _collective1(self, floor, fn) -> float:
+        """A G=1 collective: runs ``fn``, appends nothing, moves no clock;
+        returns its completion time."""
+        if fn is not None and self.execute:
+            fn(self)
+        return self.start_time(self._tx, floor)
+
+    def _commit_barrier(self) -> float:
+        """Advance every stream of every device to the global latest clock."""
+        t = self.wall_time()
+        for d in self.devices:
+            for st in d.streams.values():
+                st.advance_to(t)
+        return t
 
     # -- compute -------------------------------------------------------
 
@@ -213,27 +354,20 @@ class VirtualCluster:
         ``reads``/``writes`` declare the device-local buffers the kernel
         touches, for the hazard sanitizer.
         """
-        dev = self.devices[g]
-        st = dev.stream(stream)
-        start = st.ready_after(*after)
-        dur = dev.spec.launch_latency + op_time(dev.spec, flops, mops, dtype, kind=kind)
-        if self.faults is not None:
-            s = self.faults.compute_scale(g, start)
-            if s != 1.0:
-                dur *= s
-        uid = self.ledger.append(
-            OpRecord(
-                device=g, stream=stream, kind=kind, name=name,
-                start=start, duration=dur, flops=flops, mops=mops,
-                reads=self._qualify(g, reads),
-                writes=self._qualify(g, writes),
-                waits=self._wait_uids(after),
-                region=self.region_path,
-            )
-        )
-        if fn is not None and self.execute:
-            fn(self)
-        return st.advance_to(start + dur, op=uid)
+        spec = self.devices[g].spec
+        floor, waits = self._after(after)
+        dur = spec.launch_latency + op_time(spec, flops, mops, dtype, kind=kind)
+        region = self.region_path
+        _, end, uid = self._commit_launch(
+            floor, waits, region, g, stream, kind, name, dur, flops, mops,
+            self._qualify(g, reads), self._qualify(g, writes), fn)
+        if self._recorder is not None:
+            self._recorder.launch(
+                after, uid, end, name=name, kind=kind, device=g,
+                stream=stream, duration=dur, flops=flops, mops=mops,
+                reads=tuple(reads), writes=tuple(writes), region=region,
+                fn=fn)
+        return Event(end, f"{stream}@dev{g}", op=uid)
 
     def host_action(
         self, fn: Callable[["VirtualCluster"], None] | None
@@ -249,6 +383,8 @@ class VirtualCluster:
         is what lets the :mod:`repro.ir` capture layer see them and
         re-run them on replay.
         """
+        if self._recorder is not None:
+            self._recorder.host_action(fn)
         if fn is not None and self.execute:
             fn(self)
 
@@ -261,18 +397,15 @@ class VirtualCluster:
         writes: Sequence[str] = (),
     ) -> Event:
         """Zero-cost bookkeeping op (plan setup, pointer swaps)."""
-        dev = self.devices[g]
-        st = dev.stream("compute")
-        uid = self.ledger.append(
-            OpRecord(device=g, stream="compute", kind="host", name=name,
-                     start=st.clock, duration=0.0,
-                     reads=self._qualify(g, reads),
-                     writes=self._qualify(g, writes),
-                     region=self.region_path)
-        )
-        if fn is not None and self.execute:
-            fn(self)
-        return Event(st.clock, name, op=uid)
+        region = self.region_path
+        start, _, uid = self._commit_host(
+            0.0, (), region, g, name, self._qualify(g, reads),
+            self._qualify(g, writes), fn)
+        if self._recorder is not None:
+            self._recorder.host_op(
+                uid, start, name=name, device=g, reads=tuple(reads),
+                writes=tuple(writes), region=region, fn=fn)
+        return Event(start, name, op=uid)
 
     # -- point-to-point communication -----------------------------------
 
@@ -305,47 +438,33 @@ class VirtualCluster:
         read/write declares so the hazard sanitizer and G=1 traces see
         it (``fn`` still runs, so G=1 degenerates correctly).
         """
+        floor, waits = self._after(after)
+        region = self.region_path
+        rec = self._recorder
         if src == dst or self.G == 1:
-            if fn is not None and self.execute:
-                fn(self)
-            s_st = self.devices[src].stream("comm.tx")
-            d_st = self.devices[src].stream("comm.rx")
-            start = max(s_st.ready_after(*after), d_st.ready_after())
-            uid = self.ledger.append(
-                OpRecord(device=src, stream="comm", kind="comm", name=name,
-                         start=start, duration=0.0, comm_bytes=0.0, peer=src,
-                         reads=self._qualify(src, reads),
-                         writes=self._qualify(src, writes),
-                         waits=self._wait_uids(after),
-                         region=self.region_path)
-            )
-            s_st.advance_to(start, op=uid)
-            return d_st.advance_to(start, op=uid)
+            _, end, uid = self._commit_self_send(
+                floor, waits, region, src, name, self._qualify(src, reads),
+                self._qualify(src, writes), fn)
+            if rec is not None:
+                rec.self_send(after, uid, end, name=name, device=src,
+                              reads=tuple(reads), writes=tuple(writes),
+                              region=region, fn=fn)
+            return Event(end, f"comm.rx@dev{src}", op=uid)
         # Links are full duplex: the sender's tx engine and the receiver's
         # rx engine are occupied, so a ring shift (every device one send +
         # one receive) proceeds fully in parallel, as on real NVLink.
-        s_st = self.devices[src].stream("comm.tx")
-        d_st = self.devices[dst].stream("comm.rx")
-        start = max(s_st.ready_after(*after), d_st.ready_after(*after))
-        link_lat = self.spec.comm_latency() if latency is None else latency
+        link_lat = self._comm_lat if latency is None else latency
         bw = self.spec.pair_bandwidth(src, dst) if bandwidth is None else bandwidth
         dur = link_lat + nbytes / bw
-        if self.faults is not None:
-            s = self.faults.comm_scale(src, dst, start)
-            if s != 1.0:
-                dur *= s
-        uid = self.ledger.append(
-            OpRecord(device=src, stream="comm", kind="comm", name=name,
-                     start=start, duration=dur, comm_bytes=nbytes, peer=dst,
-                     reads=self._qualify(src, reads),
-                     writes=self._qualify(dst, writes),
-                     waits=self._wait_uids(after),
-                     region=self.region_path)
-        )
-        if fn is not None and self.execute:
-            fn(self)
-        s_st.advance_to(start + dur, op=uid)
-        return d_st.advance_to(start + dur, op=uid)
+        _, end, uid = self._commit_p2p(
+            floor, waits, region, src, dst, name, dur, nbytes,
+            self._qualify(src, reads), self._qualify(dst, writes), fn)
+        if rec is not None:
+            rec.p2p(after, uid, end, bandwidth, latency, name=name,
+                    device=src, peer=dst, duration=dur, comm_bytes=nbytes,
+                    reads=tuple(reads), writes=tuple(writes), region=region,
+                    fn=fn)
+        return Event(end, f"comm.rx@dev{dst}", op=uid)
 
     # -- collectives -----------------------------------------------------
 
@@ -383,46 +502,33 @@ class VirtualCluster:
         the transfer time) while keeping collective coherence: all G
         records share one name/start/duration.
         """
+        floor, waits = self._after(after)
         if self.G == 1:
-            if fn is not None and self.execute:
-                fn(self)
-            st = self.devices[0].stream("comm.tx")
-            return [Event(st.ready_after(*after), name)]
-        # A collective saturates both directions on every device.
-        tx = [d.stream("comm.tx") for d in self.devices]
-        rx = [d.stream("comm.rx") for d in self.devices]
-        start = max(st.ready_after(*after) for st in tx + rx)
-        # The G-1 per-peer messages ride distinct links concurrently, so
-        # one message latency is paid per collective call, not per peer —
+            ev = Event(self._collective1(floor, fn), name)
+            if self._recorder is not None:
+                self._recorder.collective1(after, ev, name=name, fn=fn)
+            return [ev]
+        # A collective saturates both directions on every device.  The
+        # G-1 per-peer messages ride distinct links concurrently, so one
+        # message latency is paid per collective call, not per peer —
         # plus the host-side synchronization cost of coordinating it.
-        lat = self.spec.comm_latency() + self.spec.collective_overhead
-        if duration is not None:
-            dur = duration
-        else:
+        if duration is None:
+            lat = self._comm_lat + self.spec.collective_overhead
             dur = lat + bytes_per_device / self._a2a_bw
-            if self.faults is not None:
-                s = self.faults.collective_scale(start)
-                if s != 1.0:
-                    dur *= s
-        waits = self._wait_uids(after)
-        uids = [
-            self.ledger.append(
-                OpRecord(device=g, stream="comm", kind="comm", name=name,
-                         start=start, duration=dur, comm_bytes=bytes_per_device,
-                         reads=self._qualify(g, reads),
-                         writes=self._qualify(g, writes),
-                         waits=waits,
-                         region=self.region_path)
-            )
-            for g in range(self.G)
-        ]
-        if fn is not None and self.execute:
-            fn(self)
-        out = []
-        for g in range(self.G):
-            tx[g].advance_to(start + dur, op=uids[g])
-            out.append(rx[g].advance_to(start + dur, op=uids[g]))
-        return out
+        else:
+            dur = duration
+        region = self.region_path
+        _, end, uids = self._commit_collective(
+            floor, waits, region, name, dur, bytes_per_device,
+            [self._qualify(g, reads) for g in range(self.G)],
+            [self._qualify(g, writes) for g in range(self.G)],
+            fn, duration is None)
+        if self._recorder is not None:
+            self._recorder.collective(
+                after, uids, end, name=name, duration=dur,
+                comm_bytes=bytes_per_device, reads=tuple(reads),
+                writes=tuple(writes), region=region, fn=fn)
+        return [Event(end, f"comm.rx@dev{g}", op=u) for g, u in enumerate(uids)]
 
     def alltoall(
         self,
@@ -461,11 +567,18 @@ class VirtualCluster:
 
     def barrier(self) -> Event:
         """Synchronize every stream on every device to the global max."""
-        t = self.wall_time()
-        for d in self.devices:
-            for st in d.streams.values():
-                st.advance_to(t)
-        return Event(t, "barrier")
+        ev = Event(self._commit_barrier(), "barrier")
+        if self._recorder is not None:
+            self._recorder.barrier(ev)
+        return ev
+
+    # -- comm log --------------------------------------------------------
+
+    def log_comm(self, entry: dict) -> None:
+        """Append one :mod:`repro.comm` call entry to ``comm_log``."""
+        self.comm_log.append(entry)
+        if self._recorder is not None:
+            self._recorder.log(entry)
 
     def __repr__(self) -> str:  # pragma: no cover
         mode = "execute" if self.execute else "timing-only"

@@ -19,6 +19,8 @@ from typing import Iterable, Iterator
 
 #: op kinds with distinct costing rules in the engine
 KINDS = ("gemm", "batched_gemm", "gemv", "custom", "fft", "copy", "comm", "host")
+_KIND_SET = frozenset(KINDS)
+_isfinite = math.isfinite
 
 
 @dataclass(frozen=True)
@@ -108,40 +110,31 @@ class Ledger:
         self._next_uid = 0
 
     def append(self, rec: OpRecord) -> int:
-        """Validate, uid-stamp, and store a record; returns its uid."""
-        if rec.kind not in KINDS:
+        """Validate, uid-stamp, and store a record; returns its uid.
+
+        The uid is stamped on ``rec`` itself (no copy): a record is
+        built to be appended once, by the engine that just made it.  A
+        record that already carries a uid (>= 0) keeps it.
+        """
+        start, dur = rec.start, rec.duration
+        if rec.kind not in _KIND_SET:
             raise ValueError(f"unknown op kind {rec.kind!r}")
         if not rec.name:
             raise ValueError("op records need a non-empty stage name")
-        if not (math.isfinite(rec.start) and math.isfinite(rec.duration)):
+        if not (_isfinite(start) and _isfinite(dur)):
             raise ValueError(
                 f"op {rec.name!r} has non-finite timing "
-                f"(start={rec.start!r}, duration={rec.duration!r})"
+                f"(start={start!r}, duration={dur!r})"
             )
-        if rec.duration < 0.0:
-            raise ValueError(
-                f"op {rec.name!r} has negative duration {rec.duration!r}"
-            )
-        if rec.uid < 0:
-            rec = replace(rec, uid=self._next_uid)
-        self._next_uid = max(self._next_uid, rec.uid) + 1
-        self._records.append(rec)
-        return rec.uid
-
-    def append_stamped(self, rec: OpRecord) -> int:
-        """Store a freshly built record, stamping the next uid in place.
-
-        The replay hot path (:mod:`repro.ir.executor`): replayed
-        records come from a certified graph whose capture run already
-        passed :meth:`append`'s validation, so this skips it — and
-        stamps the uid with ``object.__setattr__`` instead of
-        ``dataclasses.replace``, avoiding a second full construction
-        per record.  ``rec`` must be freshly constructed (``uid=-1``,
-        never shared), exactly as the executor builds them.
-        """
-        uid = self._next_uid
-        object.__setattr__(rec, "uid", uid)
-        self._next_uid = uid + 1
+        if dur < 0.0:
+            raise ValueError(f"op {rec.name!r} has negative duration {dur!r}")
+        uid = rec.uid
+        if uid < 0:
+            uid = self._next_uid
+            object.__setattr__(rec, "uid", uid)
+            self._next_uid = uid + 1
+        else:
+            self._next_uid = max(self._next_uid, uid) + 1
         self._records.append(rec)
         return uid
 

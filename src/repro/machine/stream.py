@@ -11,9 +11,7 @@ and S2T waits on the halo's event.
 Events additionally carry the ledger uid of the operation that produced
 them (``op``), which is what lets the hazard sanitizer in
 :mod:`repro.analysis.hazards` reconstruct the happens-before graph of a
-run, and a ``wait_count`` recording how many times the event was
-actually waited on (unwaited events are a smell: a declared dependency
-nobody enforces).
+run.
 """
 
 from __future__ import annotations
@@ -36,23 +34,15 @@ class Event:
         or -1 for synthetic events (``Event.zero()``, barriers, G=1
         degenerate paths).  Excluded from equality/hash so pre-existing
         event comparisons keep their semantics.
-    wait_count:
-        Number of times a stream actually waited on this event.
-        Mutable bookkeeping (via ``object.__setattr__``), excluded from
-        equality/hash.
     """
 
     time: float
     label: str = ""
     op: int = field(default=-1, compare=False)
-    wait_count: int = field(default=0, compare=False)
 
     @staticmethod
     def zero() -> "Event":
         return Event(0.0, "t0")
-
-    def _mark_waited(self) -> None:
-        object.__setattr__(self, "wait_count", self.wait_count + 1)
 
 
 class Stream:
@@ -78,7 +68,6 @@ class Stream:
                     "dependency list; filter absent dependencies at the "
                     "call site instead of passing None"
                 )
-            ev._mark_waited()
             if ev.time > t:
                 t = ev.time
         return t

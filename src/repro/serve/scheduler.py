@@ -290,18 +290,17 @@ class ServeScheduler:
                          release: float) -> float:
         """Issue one batch through the interpreted pipeline.
 
-        With ``gkey`` set, the run goes through the IR recording proxy
-        — same ledger, same events — and the captured graph is
-        certified and stored so the next batch at this configuration
-        replays.  Returns the batch finish time.
+        With ``gkey`` set, the run is captured — same ledger, same
+        events — and the graph is certified and stored so the next
+        batch at this configuration replays.  Returns the batch finish
+        time.
         """
         cl = self.cluster
+        ff = FmmFftDistributed(batch.plan, cl, comm_algorithm=algo,
+                               ns=f"serve.b{batch.bid}", batch=batch.k)
 
-        def _run(proxy):
-            FmmFftDistributed(
-                batch.plan, proxy, comm_algorithm=algo,
-                ns=f"serve.b{batch.bid}", batch=batch.k,
-            ).run(after=[rel], barrier=False)
+        def _run(_):
+            ff.run(after=[rel], barrier=False)
 
         with cl.region("serve"), cl.region(f"b{batch.bid}"):
             if gkey is None:

@@ -1,7 +1,7 @@
 """Capture layer: recorded graphs mirror the interpreted run exactly.
 
-The capture proxy must be invisible — the run it observes appends the
-same ledger the plain pipeline would — while the graph it produces
+Capture must be invisible — the run it observes appends the same
+ledger the plain pipeline would — while the graph it produces
 accounts for every record, resolves every dependency to a captured
 producer, and refuses anything it cannot replay truthfully (foreign
 events, fault-injecting clusters).
@@ -140,6 +140,45 @@ class TestCaptureRefusals:
         object.__setattr__(bad, "deps", ((5, -1, True),))
         with pytest.raises(ParameterError, match="does not precede"):
             graph.validate()
+
+
+def _copy(cl, name, after=()):
+    return cl.launch(0, name, "copy", flops=0.0, mops=8.0,
+                     dtype=np.complex128, after=after, reads=[],
+                     writes=[f"{name}.buf"])
+
+
+class TestRecorderAttachment:
+    def test_raising_run_propagates_and_detaches(self):
+        cl = VirtualCluster(SPEC, execute=False)
+
+        def boom(c):
+            _copy(c, "inside")
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            capture(boom, cl)
+        # interpreted, after the failed capture: nothing records it
+        ev = _copy(cl, "between")
+        graph, _ = capture(lambda c: _copy(c, "second"), cl)
+        assert [n.name for n in graph.nodes] == ["second"]
+        # ... and its event stays foreign to any later capture
+        with pytest.raises(CaptureError, match="outside this capture"):
+            capture(lambda c: _copy(c, "third", after=[ev]), cl)
+        assert len(cl.ledger) == 4
+
+    def test_ops_after_capture_are_not_recorded(self):
+        cl = VirtualCluster(SPEC, execute=False)
+        graph, _ = capture(lambda c: _copy(c, "inside"), cl)
+        _copy(cl, "outside")
+        assert [n.name for n in graph.nodes] == ["inside"]
+
+    def test_nested_capture_refused(self):
+        cl = VirtualCluster(SPEC, execute=False)
+        with pytest.raises(CaptureError, match="already recording"):
+            capture(lambda c: capture(lambda c2: None, c), cl)
+        graph, _ = capture(lambda c: _copy(c, "after"), cl)
+        assert len(graph.nodes) == 1
 
 
 class TestGraphKeys:

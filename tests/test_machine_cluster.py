@@ -31,14 +31,6 @@ class TestStreamsAndEvents:
         s.advance_to(2.5)
         assert s.ready_after() == pytest.approx(2.5)
 
-    def test_wait_count_increments(self):
-        s = Stream(0, "c")
-        ev = Event(1.0)
-        assert ev.wait_count == 0
-        s.ready_after(ev)
-        s.ready_after(ev)
-        assert ev.wait_count == 2
-
     def test_event_zero(self):
         assert Event.zero().time == 0.0
 

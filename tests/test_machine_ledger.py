@@ -103,6 +103,11 @@ class TestLedgerHardening:
         assert l.append(rec()) == 0
         assert l.append(rec()) == 1
         assert [r.uid for r in l] == [0, 1]
+        # the uid is stamped on the record passed in: no copy is stored
+        r = rec(name="S2T")
+        assert l.append(r) == 2
+        assert l._records[-1] is r
+        assert r.uid == 2
 
     def test_by_uid(self):
         l = Ledger()
